@@ -77,7 +77,7 @@ fn bench_hash_table(c: &mut Harness) {
         b.iter(|| {
             let mut t = JoinHashTable::new(16 << 20, 208, 1);
             for v in 0..10_000u32 {
-                let _ = t.offer(v, vec![0u8; 208], 10);
+                let _ = t.offer(v, &[0u8; 208], 10);
             }
             black_box(t.len())
         })
@@ -85,7 +85,7 @@ fn bench_hash_table(c: &mut Harness) {
     g.bench("probe_10k", |b| {
         let mut t = JoinHashTable::new(16 << 20, 208, 1);
         for v in 0..10_000u32 {
-            let _ = t.offer(v, vec![0u8; 208], 10);
+            let _ = t.offer(v, &[0u8; 208], 10);
         }
         b.iter(|| {
             let mut hits = 0u64;
@@ -100,7 +100,7 @@ fn bench_hash_table(c: &mut Harness) {
         b.iter(|| {
             let mut t = JoinHashTable::new(200_000, 208, 1);
             for v in 0..5_000u32 {
-                let _ = t.offer(v, vec![0u8; 208], 10);
+                let _ = t.offer(v, &[0u8; 208], 10);
             }
             black_box(t.clearings())
         })

@@ -1,35 +1,34 @@
 //! The `joinABprime` benchmark: every algorithm at three memory ratios,
 //! reporting both the simulated response time (virtual microseconds) and
-//! the harness wall-clock. When a worker pool is active (built with
-//! `--features parallel`, or forced with `--pool N`) it runs each point
-//! twice — serial executor, then pooled — asserts the virtual-time
-//! results and metrics snapshots are identical, and reports the
-//! wall-clock speedup. Independent points are dispatched on the same
-//! pool; rows are gathered in submission order so the output never
-//! depends on scheduling.
+//! the harness wall-clock. When a worker pool is active (`GAMMA_POOL`
+//! set, or forced with `--pool N`) it runs each point twice — serial
+//! executor, then pooled — asserts the virtual-time results and metrics
+//! snapshots are identical, and reports the wall-clock speedup.
+//! Independent points are dispatched on the same pool; rows are gathered
+//! in submission order so the output never depends on scheduling.
 //!
 //! ```text
 //! cargo run --release -p gamma-bench --bin joinabprime
-//! cargo run --release -p gamma-bench --features parallel --bin joinabprime
+//! GAMMA_POOL=$(nproc) cargo run --release -p gamma-bench --bin joinabprime
 //! cargo run --release -p gamma-bench --bin joinabprime -- --pool 4 --scale 0.2
 //! cargo run --release -p gamma-bench --bin joinabprime -- --no-wall --out BENCH.json
 //! ```
 //!
 //! `--no-wall` nulls every wall-clock field and drops the executor
 //! envelope so the JSON is byte-identical across hosts and pool sizes —
-//! that is what CI byte-diffs. With the (default) `metrics` feature each
-//! point also records its peak buffer-pool residency, total ring
-//! packets, and short-circuit ratio — deterministic counters the
-//! `regress` binary gates exactly. The JSON schema is documented in
-//! `EXPERIMENTS.md`.
+//! that is what CI byte-diffs. Each point also records its peak
+//! buffer-pool residency, total ring packets, and short-circuit ratio —
+//! deterministic counters the `regress` binary gates exactly. The JSON
+//! schema is documented in `EXPERIMENTS.md`.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use gamma_bench::alloc::{count_allocs, CountingAlloc};
+use gamma_bench::metrics::MetricsRun;
 use gamma_bench::{pooled_map_on, Workload};
 use gamma_core::query::Algorithm;
-use gamma_core::{ExecConfig, JoinReport, WorkerPool};
+use gamma_core::{ExecConfig, WorkerPool};
 
 /// Counting allocator so each point can report a deterministic `allocs`
 /// column (serial runs only — pool bookkeeping would pollute the delta).
@@ -52,7 +51,7 @@ struct Row {
     wall_ms: f64,
     serial_wall_ms: Option<f64>,
     speedup: Option<f64>,
-    peak_pool_pages: Option<u64>,
+    peak_pool_pages: u64,
     packets: u64,
     short_circuit_ratio: f64,
     /// Heap allocations during the serial run; `None` when a pool is
@@ -80,29 +79,9 @@ fn pool_totals() -> (u64, u64) {
     }
 }
 
-struct RunOut {
-    report: JoinReport,
-    #[cfg(feature = "metrics")]
-    registry: gamma_metrics::Registry,
-}
-
-fn measure(w: &Workload, alg: Algorithm, ratio: f64, exec: ExecConfig) -> (RunOut, f64) {
+fn measure(w: &Workload, alg: Algorithm, ratio: f64, exec: ExecConfig) -> (MetricsRun, f64) {
     let t = Instant::now();
-    #[cfg(feature = "metrics")]
-    let out = {
-        let run = gamma_bench::metrics::metrics_join_with(w, alg, ratio, false, false, exec);
-        RunOut {
-            report: run.report,
-            registry: run.registry,
-        }
-    };
-    #[cfg(not(feature = "metrics"))]
-    let out = RunOut {
-        report: gamma_bench::SweepBuilder::new(w)
-            .exec(exec)
-            .run_one(alg, ratio)
-            .report,
-    };
+    let out = gamma_bench::metrics::metrics_join_with(w, alg, ratio, false, false, exec);
     (out, t.elapsed().as_secs_f64() * 1e3)
 }
 
@@ -129,7 +108,6 @@ fn run_point(w: &Workload, pool: Option<&Arc<WorkerPool>>, alg: Algorithm, ratio
                 "{} at {ratio}: pooled executor changed the result",
                 alg.name()
             );
-            #[cfg(feature = "metrics")]
             assert_eq!(
                 gamma_metrics::json::render(&sp.registry),
                 gamma_metrics::json::render(&pp.registry),
@@ -148,10 +126,7 @@ fn run_point(w: &Workload, pool: Option<&Arc<WorkerPool>>, alg: Algorithm, ratio
     } else {
         0.0
     };
-    #[cfg(feature = "metrics")]
-    let peak_pool_pages = Some(p.registry.gauge_peak("pool_peak_pages").unwrap_or(0));
-    #[cfg(not(feature = "metrics"))]
-    let peak_pool_pages = None;
+    let peak_pool_pages = p.registry.gauge_peak("pool_peak_pages").unwrap_or(0);
     let (pool_jobs, pool_busy_ms) = if cfg!(feature = "hostprof") {
         let after = pool_totals();
         (
@@ -188,17 +163,14 @@ fn main() {
     if let Some(i) = args.iter().position(|a| a == "--out") {
         out_path = args[i + 1].clone();
     }
-    // `--pool N` builds an explicit pool of that size; otherwise the
-    // `parallel` feature opts into the shared process-wide pool.
+    // `--pool N` builds an explicit pool of that size; otherwise
+    // `GAMMA_POOL` opts into the shared process-wide pool.
     let pool: Option<Arc<WorkerPool>> = match args.iter().position(|a| a == "--pool") {
         Some(i) => {
             let n: usize = args[i + 1].parse().expect("pool size must be an integer");
             Some(Arc::new(WorkerPool::new(n)))
         }
-        None if cfg!(feature = "parallel") => {
-            Some(Arc::clone(gamma_core::exec::pool::default_pool()))
-        }
-        None => None,
+        None => gamma_core::exec::pool::env_pool().cloned(),
     };
 
     let w = Workload::scaled(
@@ -301,7 +273,7 @@ fn main() {
             wall.0,
             wall.1,
             wall.2,
-            opt_u(r.peak_pool_pages),
+            r.peak_pool_pages,
             r.packets,
             r.short_circuit_ratio,
             allocs,

@@ -8,8 +8,7 @@
 //!   Gate 6 of the `regress` binary byte-gates);
 //! * `prof-<alg>-r<pct>.csv` — one row per tick, for spreadsheets;
 //! * `prof-<alg>-r<pct>-perfetto.json` — the point's Perfetto trace with
-//!   the recorder's counter tracks merged in (with the default `trace`
-//!   feature).
+//!   the recorder's counter tracks merged in.
 //!
 //! Usage: `prof [hybrid|grace|simple|sort-merge] [ratio] [scale]
 //!              [--tick-us N] [--out-dir DIR]`
@@ -79,11 +78,8 @@ fn main() {
     println!("series json:   {json_path}");
     println!("series csv:    {csv_path}");
 
-    #[cfg(feature = "trace")]
-    {
-        let merged = gamma_bench::prof::merged_perfetto(&workload, alg, ratio, &run.profile);
-        let path = format!("{stem}-perfetto.json");
-        std::fs::write(&path, merged).expect("write merged perfetto json");
-        println!("perfetto json: {path} (trace spans + counter tracks)");
-    }
+    let merged = gamma_bench::prof::merged_perfetto(&workload, alg, ratio, &run.profile);
+    let perfetto_path = format!("{stem}-perfetto.json");
+    std::fs::write(&perfetto_path, merged).expect("write merged perfetto json");
+    println!("perfetto json: {perfetto_path} (trace spans + counter tracks)");
 }

@@ -377,14 +377,14 @@ fn main() {
     }
 
     // --- Gate 5: serial allocation ceilings ----------------------------
-    if cfg!(feature = "parallel") {
+    if gamma_core::exec::pool::env_pool().is_some_and(|p| p.size() > 1) {
         println!(
             "regress: skipping alloc gate — worker pool active; allocation \
-             counts are only deterministic on a serial build"
+             counts are only deterministic on the serial executor"
         );
         gates.push(GateSummary::skip(
             "5: alloc ceilings",
-            "worker pool active (serial builds only)",
+            "worker pool active (serial executor only)",
         ));
     } else if write {
         let (scale, grid) = (

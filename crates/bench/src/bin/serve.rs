@@ -11,8 +11,8 @@
 //! so two runs of the same configuration are byte-identical — CI compares
 //! them with `cmp`, and the `regress` binary replays the committed
 //! `BENCH_serve.json` under drift/counter gates. Each rate point also
-//! passes the concurrent ledger↔metrics reconciliation (with the default
-//! `metrics` feature) before its numbers are reported.
+//! passes the concurrent ledger↔metrics reconciliation before its numbers
+//! are reported.
 //!
 //! `--explain [--load-fraction F] [--out PATH]` serves a single rate
 //! point (default: the analytical knee, 1.0×) and prints the per-query

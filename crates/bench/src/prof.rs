@@ -131,7 +131,6 @@ pub fn snapshot_doc(alg: Algorithm, ratio: f64, scale: usize, tick_us: u64) -> S
 /// attach to their node's process, machine-wide series to the scheduler
 /// process. Merge into a trace export with
 /// `gamma_trace::perfetto::to_json_with_counters`.
-#[cfg(feature = "trace")]
 pub fn perfetto_counters(profile: &FlightProfile) -> Vec<gamma_trace::perfetto::CounterSeries> {
     use gamma_trace::perfetto::{CounterSeries, SCHEDULER_PID};
     profile
@@ -153,7 +152,6 @@ pub fn perfetto_counters(profile: &FlightProfile) -> Vec<gamma_trace::perfetto::
 /// Trace the same point the profile replays and merge the profile's
 /// counter tracks into the Perfetto export. Both sides are deterministic
 /// replays of the same ledgers, so the counters line up with the spans.
-#[cfg(feature = "trace")]
 pub fn merged_perfetto(
     workload: &Workload,
     alg: Algorithm,
@@ -200,7 +198,6 @@ mod tests {
         assert_eq!(artifact_stem(Algorithm::GraceHash, 0.2), "prof-grace-r20");
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn merged_perfetto_carries_counter_tracks() {
         let w = Workload::scaled(2_000, 200);

@@ -157,34 +157,29 @@ pub fn profile(workload: &Workload) -> (QueryPlan, JoinReport) {
 
 /// Serve one rate point on a freshly loaded machine.
 ///
-/// When the `metrics` feature is on, the whole point (all physical
-/// instance runs) is captured in one registry and audited against the
+/// The whole point (all physical instance runs) is captured in one
+/// registry and audited against the
 /// integer sum of the per-instance ledgers — the concurrent
 /// generalization of the single-query reconciliation.
 pub fn serve_point(workload: &Workload, cfg: &ServeConfig) -> ServeResult {
     let (mut machine, spec) = builder(workload).prepare(Algorithm::HybridHash, 1.0);
-    #[cfg(feature = "metrics")]
-    {
-        let prev = gamma_metrics::install(gamma_metrics::Registry::new());
-        let result = serve(&mut machine, &spec, cfg);
-        let registry = gamma_metrics::take().expect("registry installed above");
-        if let Some(p) = prev {
-            gamma_metrics::install(p);
-        }
-        // The audit reuses the single-query reconciliation against a
-        // report whose aggregate ledger is the integer sum over instances.
-        let mut aggregate = result.solo.clone();
-        aggregate.total = result.total_usage();
-        let errs = crate::metrics::reconcile(&registry, &aggregate);
-        assert!(
-            errs.is_empty(),
-            "serve-point metrics failed ledger reconciliation:\n{}",
-            errs.join("\n")
-        );
-        result
+    let prev = gamma_metrics::install(gamma_metrics::Registry::new());
+    let result = serve(&mut machine, &spec, cfg);
+    let registry = gamma_metrics::take().expect("registry installed above");
+    if let Some(p) = prev {
+        gamma_metrics::install(p);
     }
-    #[cfg(not(feature = "metrics"))]
-    serve(&mut machine, &spec, cfg)
+    // The audit reuses the single-query reconciliation against a report
+    // whose aggregate ledger is the integer sum over instances.
+    let mut aggregate = result.solo.clone();
+    aggregate.total = result.total_usage();
+    let errs = crate::metrics::reconcile(&registry, &aggregate);
+    assert!(
+        errs.is_empty(),
+        "serve-point metrics failed ledger reconciliation:\n{}",
+        errs.join("\n")
+    );
+    result
 }
 
 /// Run a full arrival-rate sweep.

@@ -62,7 +62,6 @@ pub fn run(machine: &mut Machine, rz: &Resolved) -> DriverOutput {
     // ---- Phase 1: partition R into buckets, overlapped with building
     // bucket 1's hash tables. ----
     let mut ledgers = machine.ledgers();
-    #[cfg(feature = "trace")]
     gamma_trace::emit(
         rz.join_nodes[0] as u16,
         0,
@@ -284,7 +283,6 @@ pub fn run(machine: &mut Machine, rz: &Resolved) -> DriverOutput {
                                 ctx.charge(ctx.cost.filter_test_us);
                                 if !filters[bucket - 1].test(val) {
                                     ctx.ledger.counts.filter_drops += 1;
-                                    #[cfg(feature = "metrics")]
                                     gamma_metrics::counter_add(
                                         "filter_drops",
                                         ctx.node as u16,
@@ -305,7 +303,6 @@ pub fn run(machine: &mut Machine, rz: &Resolved) -> DriverOutput {
     let s_files = consumers.close_buckets(machine, &mut ledgers);
     let pairs = take_overflows(machine, &mut ledgers, &mut consumers, &sites);
     let sched = dispatch_overhead(machine, &mut ledgers, &disk_nodes, table_bytes);
-    #[cfg(feature = "trace")]
     gamma_trace::emit(
         rz.join_nodes[0] as u16,
         ledgers[rz.join_nodes[0]].total_demand().as_us(),

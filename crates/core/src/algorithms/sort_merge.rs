@@ -95,7 +95,6 @@ fn partition(
                             ctx.charge(ctx.cost.filter_test_us);
                             if !f.test(val) {
                                 ctx.ledger.counts.filter_drops += 1;
-                                #[cfg(feature = "metrics")]
                                 gamma_metrics::counter_add(
                                     "filter_drops",
                                     ctx.node as u16,
@@ -138,8 +137,8 @@ fn partition(
 /// Fully sort every node's temp fragment (run formation plus however many
 /// merge passes the memory budget requires — the source of the "upward
 /// steps" in the paper's sort-merge curves). Each node's sort is
-/// independent, so under the `parallel` feature the whole phase runs as
-/// one wave of node-local workers.
+/// independent, so on a pooled executor the whole phase runs as one wave
+/// of node-local workers.
 fn sort_phase(
     machine: &mut Machine,
     phases: &mut Vec<PhaseRecord>,
@@ -165,7 +164,6 @@ fn sort_phase(
             &disk_nodes,
             &mut states,
             |ctx, f| {
-                #[cfg(feature = "trace")]
                 gamma_trace::emit(
                     ctx.node as u16,
                     ctx.ledger.total_demand().as_us(),
@@ -174,7 +172,6 @@ fn sort_phase(
                 let (vol, pool) = ctx.state.vp();
                 let (sorted, _stats) =
                     external_sort(vol, pool, *f, key, cfg, &ctx.cost.sort, ctx.ledger);
-                #[cfg(feature = "trace")]
                 gamma_trace::emit(
                     ctx.node as u16,
                     ctx.ledger.total_demand().as_us(),
@@ -324,7 +321,6 @@ pub fn run(machine: &mut Machine, rz: &Resolved) -> DriverOutput {
         &disk_nodes,
         &mut states,
         |ctx, &mut (rr, sr)| {
-            #[cfg(feature = "trace")]
             gamma_trace::emit(
                 ctx.node as u16,
                 ctx.ledger.total_demand().as_us(),
@@ -336,17 +332,14 @@ pub fn run(machine: &mut Machine, rz: &Resolved) -> DriverOutput {
             };
             ctx.charge(ctx.cost.merge_compare_us * compares);
             ctx.ledger.counts.comparisons += compares;
-            #[cfg(feature = "metrics")]
             gamma_metrics::counter_add("comparisons", ctx.node as u16, "merge", compares);
             let mut route = ResultRoute::new(ctx.node, d);
             for rec in outputs.iter() {
                 ctx.charge(ctx.cost.compose_us);
                 ctx.ledger.counts.tuples_out += 1;
-                #[cfg(feature = "metrics")]
                 gamma_metrics::counter_add("op_tuples_out", ctx.node as u16, "merge", 1);
                 ctx.send(route.advance(), RESULT_TAG, rec);
             }
-            #[cfg(feature = "trace")]
             gamma_trace::emit(
                 ctx.node as u16,
                 ctx.ledger.total_demand().as_us(),

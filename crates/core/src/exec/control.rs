@@ -46,9 +46,7 @@ pub fn broadcast_filters(machine: &mut Machine, ledgers: &mut Ledgers, sites: &J
     for &node in sites.nodes() {
         ledgers[node].cpu(send_cpu);
         ledgers[node].counts.packets_sent += 1;
-        #[cfg(feature = "metrics")]
         gamma_metrics::counter_add("packets_sent", node as u16, "filter", 1);
-        #[cfg(feature = "trace")]
         gamma_trace::emit(
             node as u16,
             ledgers[node].total_demand().as_us(),

@@ -198,12 +198,8 @@ impl JoinNode {
             f.set(val);
         }
         ctx.ledger.counts.hash_inserts += 1;
-        #[cfg(feature = "metrics")]
-        {
-            gamma_metrics::counter_add("op_tuples_in", ctx.node as u16, "build", 1);
-            gamma_metrics::counter_add("hash_inserts", ctx.node as u16, "build", 1);
-        }
-        #[cfg(feature = "trace")]
+        gamma_metrics::counter_add("op_tuples_in", ctx.node as u16, "build", 1);
+        gamma_metrics::counter_add("hash_inserts", ctx.node as u16, "build", 1);
         gamma_trace::emit(
             ctx.node as u16,
             ctx.ledger.total_demand().as_us(),
@@ -222,7 +218,6 @@ impl JoinNode {
                 // The heuristic examines every resident tuple to find the
                 // ones above the new cutoff (§4.1).
                 ctx.charge(ctx.cost.clear_scan_us * scanned);
-                #[cfg(feature = "trace")]
                 gamma_trace::emit(
                     ctx.node as u16,
                     ctx.ledger.total_demand().as_us(),
@@ -231,7 +226,6 @@ impl JoinNode {
                 for (_, range) in evicted {
                     ctx.charge(ctx.cost.evict_tuple_us);
                     ctx.ledger.counts.overflow_evictions += 1;
-                    #[cfg(feature = "metrics")]
                     gamma_metrics::counter_add("overflow_evictions", ctx.node as u16, "build", 1);
                     ctx.send(home, spool_tag, site.table.slice(range));
                 }
@@ -256,14 +250,10 @@ impl JoinNode {
         ctx.ledger.counts.hash_probes += 1;
         ctx.charge(ctx.cost.probe_us + ctx.cost.chain_compare_us * compares);
         ctx.ledger.counts.comparisons += compares;
-        #[cfg(feature = "metrics")]
-        {
-            gamma_metrics::counter_add("op_tuples_in", ctx.node as u16, "probe", 1);
-            gamma_metrics::counter_add("hash_probes", ctx.node as u16, "probe", 1);
-            gamma_metrics::counter_add("comparisons", ctx.node as u16, "probe", compares);
-            gamma_metrics::observe("probe_chain_compares", ctx.node as u16, "probe", compares);
-        }
-        #[cfg(feature = "trace")]
+        gamma_metrics::counter_add("op_tuples_in", ctx.node as u16, "probe", 1);
+        gamma_metrics::counter_add("hash_probes", ctx.node as u16, "probe", 1);
+        gamma_metrics::counter_add("comparisons", ctx.node as u16, "probe", compares);
+        gamma_metrics::observe("probe_chain_compares", ctx.node as u16, "probe", compares);
         gamma_trace::emit(
             ctx.node as u16,
             ctx.ledger.total_demand().as_us(),
@@ -274,7 +264,6 @@ impl JoinNode {
         for range in matches.iter() {
             ctx.charge(ctx.cost.compose_us);
             ctx.ledger.counts.tuples_out += 1;
-            #[cfg(feature = "metrics")]
             gamma_metrics::counter_add("op_tuples_out", ctx.node as u16, "probe", 1);
             let dst = self.route.advance();
             ctx.send2(dst, RESULT_TAG, site.table.slice(range), tuple);
@@ -394,7 +383,6 @@ impl ProbeSnapshot {
                     false
                 } else {
                     ctx.ledger.counts.filter_drops += 1;
-                    #[cfg(feature = "metrics")]
                     gamma_metrics::counter_add("filter_drops", ctx.node as u16, "probe", 1);
                     true
                 }
@@ -492,7 +480,6 @@ impl Consumers {
             // Filter saturation in parts-per-thousand: the build side is
             // complete here, so this is the selectivity the probe side will
             // see (paper §4.2's bit-vector filtering effectiveness).
-            #[cfg(feature = "metrics")]
             if let Some(f) = &site.filter {
                 gamma_metrics::gauge_max(
                     "filter_saturation_pm",
@@ -544,7 +531,6 @@ impl Consumers {
             for (_, sf) in buckets {
                 // Per-bucket fragment sizes — the distribution the bucket
                 // analyzer's uniformity assumption is about.
-                #[cfg(feature = "metrics")]
                 gamma_metrics::observe("bucket_tuples", n as u16, "forming", sf.count);
                 let (vol, pool) = machine.nodes[n].vp();
                 files.push(sf.writer.finish(vol, pool, &mut ledgers[n]));
@@ -811,11 +797,8 @@ pub fn restore_spills(
                 let ps = respooled_b.div_ceil(page);
                 ctx.ledger.counts.pages_restored += pr;
                 ctx.ledger.counts.pages_spilled += ps;
-                #[cfg(feature = "metrics")]
-                {
-                    gamma_metrics::counter_add("pages_restored", ctx.node as u16, "restore", pr);
-                    gamma_metrics::counter_add("pages_spilled", ctx.node as u16, "restore", ps);
-                }
+                gamma_metrics::counter_add("pages_restored", ctx.node as u16, "restore", pr);
+                gamma_metrics::counter_add("pages_spilled", ctx.node as u16, "restore", ps);
                 out.push((job.site, new_cutoff, restored, respooled));
             }
         },

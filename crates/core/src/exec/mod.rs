@@ -73,17 +73,11 @@ impl ExecConfig {
         ExecConfig { pool: Some(pool) }
     }
 
-    /// The build's default: the shared process-wide pool with the
-    /// `parallel` feature (sized by [`pool::configured_size`]), serial
-    /// otherwise.
+    /// The process default: the shared pool sized by `GAMMA_POOL` when
+    /// that variable is set ([`pool::env_pool`]), serial otherwise.
     pub fn auto() -> Self {
-        #[cfg(feature = "parallel")]
-        {
-            ExecConfig::pooled(Arc::clone(pool::default_pool()))
-        }
-        #[cfg(not(feature = "parallel"))]
-        {
-            ExecConfig::serial()
+        ExecConfig {
+            pool: pool::env_pool().cloned(),
         }
     }
 
@@ -323,13 +317,11 @@ where
     S: Send,
     R: Send,
 {
-    #[cfg(feature = "trace")]
     let tracing = gamma_trace::is_active();
     // Workers record metrics into private registries attributed to the
     // main thread's current phase; the join point merges them. Every
     // merge op is commutative (counter add / gauge max / histogram add),
     // so the merged registry is identical to serial emission.
-    #[cfg(feature = "metrics")]
     let metering = gamma_metrics::current_phase();
     let participant_nodes: Vec<NodeId> = bundles.iter().map(|b| b.node).collect();
     let outs = pool.try_run_ordered(bundles, |_, b| {
@@ -341,13 +333,11 @@ where
         // owner's thread-local slot. The join point below replays events
         // in participant order, reproducing serial emission byte for
         // byte.
-        #[cfg(feature = "trace")]
         let prev_sink = if tracing {
             gamma_trace::install(gamma_trace::TraceSink::unbounded())
         } else {
             None
         };
-        #[cfg(feature = "metrics")]
         let prev_registry = match metering {
             Some(phase) => gamma_metrics::install(gamma_metrics::Registry::at_phase(phase)),
             None => None,
@@ -355,7 +345,6 @@ where
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             run_bundle(cost, Some(pool), b, f)
         }));
-        #[cfg(feature = "trace")]
         let events: Vec<(u16, u64, gamma_trace::EventKind)> = if tracing {
             let own = gamma_trace::take()
                 .map(|s| s.events().map(|e| (e.node, e.offset_us, e.kind)).collect())
@@ -367,9 +356,6 @@ where
         } else {
             Vec::new()
         };
-        #[cfg(not(feature = "trace"))]
-        let events: Vec<()> = Vec::new();
-        #[cfg(feature = "metrics")]
         let registry = if metering.is_some() {
             let own = gamma_metrics::take();
             if let Some(prev) = prev_registry {
@@ -379,8 +365,6 @@ where
         } else {
             None
         };
-        #[cfg(not(feature = "metrics"))]
-        let registry = ();
         match r {
             Ok(v) => (v, events, registry),
             // Re-raise into the pool's catch with thread-locals restored;
@@ -401,18 +385,12 @@ where
     };
     let mut results = Vec::with_capacity(outs.len());
     for (r, events, registry) in outs {
-        #[cfg(feature = "trace")]
         for (node, offset_us, kind) in events {
             gamma_trace::emit(node, offset_us, kind);
         }
-        #[cfg(not(feature = "trace"))]
-        drop(events);
-        #[cfg(feature = "metrics")]
         if let Some(worker) = registry {
             gamma_metrics::with(|reg| reg.merge(worker));
         }
-        #[cfg(not(feature = "metrics"))]
-        let () = registry;
         results.push(r);
     }
     results

@@ -604,25 +604,21 @@ pub fn panic_message(payload: &(dyn Any + Send)) -> &str {
         .unwrap_or("non-string panic payload")
 }
 
-/// Pool size from the environment: `GAMMA_POOL` when set to a positive
-/// integer, otherwise this host's `available_parallelism`.
-pub fn configured_size() -> usize {
-    match std::env::var("GAMMA_POOL") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => panic!("GAMMA_POOL must be a positive integer, got {v:?}"),
-        },
-        Err(_) => std::thread::available_parallelism().map_or(1, |n| n.get()),
-    }
-}
-
-/// The process-wide shared pool, built on first use at
-/// [`configured_size`]. Every machine, sweep and bench binary shares it,
+/// The process-wide shared pool sized by `GAMMA_POOL` (a positive
+/// integer), or `None` when that variable is unset — the serial default.
+/// Built on first use; every machine, sweep and bench binary shares it,
 /// so its workers are spawned once per process and reused across waves,
 /// phases, queries and sweep points.
-pub fn default_pool() -> &'static Arc<WorkerPool> {
-    static DEFAULT: OnceLock<Arc<WorkerPool>> = OnceLock::new();
-    DEFAULT.get_or_init(|| Arc::new(WorkerPool::new(configured_size())))
+pub fn env_pool() -> Option<&'static Arc<WorkerPool>> {
+    static POOL: OnceLock<Option<Arc<WorkerPool>>> = OnceLock::new();
+    POOL.get_or_init(|| {
+        let v = std::env::var("GAMMA_POOL").ok()?;
+        match v.trim().parse::<usize>() {
+            Ok(n) if n >= 1 => Some(Arc::new(WorkerPool::new(n))),
+            _ => panic!("GAMMA_POOL must be a positive integer, got {v:?}"),
+        }
+    })
+    .as_ref()
 }
 
 #[cfg(test)]

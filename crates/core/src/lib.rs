@@ -21,8 +21,8 @@
 //! * [`bitfilter`] — packet-sized bit-vector filters \[BABB79, VALD84\],
 //! * [`hash_table`] — the memory-capped join hash table with the
 //!   histogram-guided 10 % clearing heuristic of Section 4.1,
-//! * [`exec`] — the per-node executor (serial or thread-parallel behind
-//!   the `parallel` feature) and the shared stage library: `Scan`,
+//! * [`exec`] — the per-node executor (serial, or on a worker pool when
+//!   `GAMMA_POOL` is set) and the shared stage library: `Scan`,
 //!   split/build/probe consumers, overflow spooling and resolution,
 //!   bucket forming, scheduler dispatch and filter broadcast,
 //! * [`algorithms`] — the four join drivers, each a short composition of
@@ -30,8 +30,6 @@
 //! * [`operators`] — the rest of Gamma's operator set: selection
 //!   (sequential and B+-tree-indexed), projection, scalar and group-by
 //!   aggregation,
-//! * [`planner`] — operator trees, the sampling column analyzer and the
-//!   §5-rule optimizer,
 //! * [`query`] — [`query::JoinSpec`] / [`query::run_join`], the public
 //!   entry point, plus the DES replay that turns phase ledgers into a
 //!   response time,
@@ -51,7 +49,6 @@ pub mod hash;
 pub mod hash_table;
 pub mod machine;
 pub mod operators;
-pub mod planner;
 pub mod query;
 pub mod report;
 pub mod split;

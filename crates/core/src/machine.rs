@@ -501,7 +501,6 @@ impl ResultSink {
     ) {
         let dst = route.advance();
         usage[src].counts.tuples_out += 1;
-        #[cfg(feature = "metrics")]
         gamma_metrics::counter_add("op_tuples_out", src as u16, "result", 1);
         machine.exchange.outboxes_mut()[src].send(&mut usage[src], dst, RESULT_TAG, rec);
     }

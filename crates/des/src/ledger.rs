@@ -267,7 +267,6 @@ impl Usage {
     /// every charged microsecond stays attributable. Mirrors the
     /// unlogged-total fallback of [`Usage::queue_timing`] (one synthetic
     /// request at issue zero).
-    #[cfg(feature = "metrics")]
     pub fn meter_device_requests(&self, reg: &mut gamma_metrics::Registry, node: u16, phase: u32) {
         let mut meter = |log: &[Request], total: SimTime, wait: &'static str, svc: &'static str| {
             let synthetic = [Request {

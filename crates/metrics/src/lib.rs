@@ -1,6 +1,6 @@
 //! # gamma-metrics — deterministic metrics registry
 //!
-//! A zero-cost-when-disabled registry of counters, gauges and fixed-bucket
+//! A runtime-installed registry of counters, gauges and fixed-bucket
 //! histograms for the Gamma simulator, keyed by `(metric, node, phase,
 //! operator)` labels. Instrumentation hooks across `gamma-des`,
 //! `gamma-wiss`, `gamma-net` and `gamma-core` record into a thread-local

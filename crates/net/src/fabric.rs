@@ -107,12 +107,8 @@ impl Fabric {
         if src == dst {
             usage[src].cpu(self.cfg.shortcircuit_cpu_per_msg);
             usage[src].counts.msgs_shortcircuit += 1;
-            #[cfg(feature = "metrics")]
-            {
-                gamma_metrics::counter_add("msgs_shortcircuit", src as u16, "fabric", 1);
-                gamma_metrics::counter_add("shortcircuit_bytes", src as u16, "fabric", bytes);
-            }
-            #[cfg(feature = "trace")]
+            gamma_metrics::counter_add("msgs_shortcircuit", src as u16, "fabric", 1);
+            gamma_metrics::counter_add("shortcircuit_bytes", src as u16, "fabric", bytes);
             gamma_trace::emit(
                 src as u16,
                 usage[src].total_demand().as_us(),
@@ -129,32 +125,26 @@ impl Fabric {
                 self.cfg.unmarshal_cpu_per_tuple.as_us() * tuples,
             ));
             usage[dst].counts.packets_recv += 1;
-            #[cfg(feature = "metrics")]
-            {
-                gamma_metrics::counter_add("packets_sent", src as u16, "fabric", 1);
-                gamma_metrics::counter_add("wire_bytes", src as u16, "fabric", bytes);
-                gamma_metrics::observe("packet_bytes", src as u16, "fabric", bytes);
-                gamma_metrics::counter_add("packets_recv", dst as u16, "fabric", 1);
-            }
-            #[cfg(feature = "trace")]
-            {
-                gamma_trace::emit(
-                    src as u16,
-                    usage[src].total_demand().as_us(),
-                    gamma_trace::EventKind::PacketSend {
-                        dst: dst as u16,
-                        bytes: crate::trace_bytes(bytes),
-                    },
-                );
-                gamma_trace::emit(
-                    dst as u16,
-                    usage[dst].total_demand().as_us(),
-                    gamma_trace::EventKind::PacketRecv {
-                        src: src as u16,
-                        bytes: crate::trace_bytes(bytes),
-                    },
-                );
-            }
+            gamma_metrics::counter_add("packets_sent", src as u16, "fabric", 1);
+            gamma_metrics::counter_add("wire_bytes", src as u16, "fabric", bytes);
+            gamma_metrics::observe("packet_bytes", src as u16, "fabric", bytes);
+            gamma_metrics::counter_add("packets_recv", dst as u16, "fabric", 1);
+            gamma_trace::emit(
+                src as u16,
+                usage[src].total_demand().as_us(),
+                gamma_trace::EventKind::PacketSend {
+                    dst: dst as u16,
+                    bytes: crate::trace_bytes(bytes),
+                },
+            );
+            gamma_trace::emit(
+                dst as u16,
+                usage[dst].total_demand().as_us(),
+                gamma_trace::EventKind::PacketRecv {
+                    src: src as u16,
+                    bytes: crate::trace_bytes(bytes),
+                },
+            );
         }
     }
 
@@ -172,13 +162,9 @@ impl Fabric {
             usage[src].cpu(self.cfg.control_cpu_per_msg);
             usage[src].counts.msgs_shortcircuit += 1;
             usage[src].counts.control_msgs += 1;
-            #[cfg(feature = "metrics")]
-            {
-                gamma_metrics::counter_add("msgs_shortcircuit", src as u16, "control", 1);
-                gamma_metrics::counter_add("shortcircuit_bytes", src as u16, "control", bytes);
-                gamma_metrics::counter_add("control_msgs", src as u16, "control", 1);
-            }
-            #[cfg(feature = "trace")]
+            gamma_metrics::counter_add("msgs_shortcircuit", src as u16, "control", 1);
+            gamma_metrics::counter_add("shortcircuit_bytes", src as u16, "control", bytes);
+            gamma_metrics::counter_add("control_msgs", src as u16, "control", 1);
             {
                 let at = usage[src].total_demand().as_us();
                 gamma_trace::emit(
@@ -209,38 +195,30 @@ impl Fabric {
             usage[src].counts.packets_sent += 1;
             usage[dst].cpu(self.cfg.recv_cpu_per_packet);
             usage[dst].counts.packets_recv += 1;
-            #[cfg(feature = "metrics")]
-            {
-                gamma_metrics::counter_add("packets_sent", src as u16, "control", 1);
-                gamma_metrics::counter_add("wire_bytes", src as u16, "control", chunk);
-                gamma_metrics::observe("packet_bytes", src as u16, "control", chunk);
-                gamma_metrics::counter_add("packets_recv", dst as u16, "control", 1);
-            }
-            #[cfg(feature = "trace")]
-            {
-                gamma_trace::emit(
-                    src as u16,
-                    usage[src].total_demand().as_us(),
-                    gamma_trace::EventKind::PacketSend {
-                        dst: dst as u16,
-                        bytes: crate::trace_bytes(chunk),
-                    },
-                );
-                gamma_trace::emit(
-                    dst as u16,
-                    usage[dst].total_demand().as_us(),
-                    gamma_trace::EventKind::PacketRecv {
-                        src: src as u16,
-                        bytes: crate::trace_bytes(chunk),
-                    },
-                );
-            }
+            gamma_metrics::counter_add("packets_sent", src as u16, "control", 1);
+            gamma_metrics::counter_add("wire_bytes", src as u16, "control", chunk);
+            gamma_metrics::observe("packet_bytes", src as u16, "control", chunk);
+            gamma_metrics::counter_add("packets_recv", dst as u16, "control", 1);
+            gamma_trace::emit(
+                src as u16,
+                usage[src].total_demand().as_us(),
+                gamma_trace::EventKind::PacketSend {
+                    dst: dst as u16,
+                    bytes: crate::trace_bytes(chunk),
+                },
+            );
+            gamma_trace::emit(
+                dst as u16,
+                usage[dst].total_demand().as_us(),
+                gamma_trace::EventKind::PacketRecv {
+                    src: src as u16,
+                    bytes: crate::trace_bytes(chunk),
+                },
+            );
         }
         usage[dst].cpu(self.cfg.control_cpu_per_msg);
         usage[dst].counts.control_msgs += 1;
-        #[cfg(feature = "metrics")]
         gamma_metrics::counter_add("control_msgs", dst as u16, "control", 1);
-        #[cfg(feature = "trace")]
         gamma_trace::emit(
             dst as u16,
             usage[dst].total_demand().as_us(),
@@ -268,13 +246,9 @@ impl Fabric {
             usage.cpu(self.cfg.recv_cpu_per_packet);
             usage.net(self.cfg.wire_time(chunk), chunk);
             usage.counts.packets_recv += 1;
-            #[cfg(feature = "metrics")]
-            {
-                gamma_metrics::counter_add("packets_recv", node as u16, "sched", 1);
-                gamma_metrics::counter_add("wire_bytes", node as u16, "sched", chunk);
-                gamma_metrics::observe("packet_bytes", node as u16, "sched", chunk);
-            }
-            #[cfg(feature = "trace")]
+            gamma_metrics::counter_add("packets_recv", node as u16, "sched", 1);
+            gamma_metrics::counter_add("wire_bytes", node as u16, "sched", chunk);
+            gamma_metrics::observe("packet_bytes", node as u16, "sched", chunk);
             gamma_trace::emit(
                 node as u16,
                 usage.total_demand().as_us(),
@@ -286,9 +260,7 @@ impl Fabric {
         }
         usage.cpu(self.cfg.control_cpu_per_msg);
         usage.counts.control_msgs += 1;
-        #[cfg(feature = "metrics")]
         gamma_metrics::counter_add("control_msgs", node as u16, "sched", 1);
-        #[cfg(feature = "trace")]
         gamma_trace::emit(
             node as u16,
             usage.total_demand().as_us(),
@@ -297,8 +269,6 @@ impl Fabric {
                 bytes: crate::trace_bytes(bytes),
             },
         );
-        #[cfg(all(not(feature = "trace"), not(feature = "metrics")))]
-        let _ = node;
         packets
     }
 

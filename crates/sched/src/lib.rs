@@ -11,9 +11,8 @@
 //!
 //! 1. **Work.** Every query instance is *physically executed* on the real
 //!    machine with [`gamma_core::run_join_with_phases`], bracketed by
-//!    `Exchange::set_query` (and `gamma_trace::set_query` under the
-//!    `trace` feature) so packets, trace spans and metrics carry the
-//!    query id. Ledgers therefore reconcile exactly: the serve run's
+//!    `Exchange::set_query` and `gamma_trace::set_query` so packets,
+//!    trace spans and metrics carry the query id. Ledgers therefore reconcile exactly: the serve run's
 //!    resource totals are integer sums of per-query totals.
 //! 2. **Time.** The first instance's phase ledgers become a
 //!    [`plan::QueryPlan`]; the [`engine`] interleaves one plan per query
@@ -87,8 +86,8 @@ impl ServeResult {
 ///
 /// Instances are physically executed up front in admission order (FIFO
 /// admission of a homogeneous stream preserves arrival order), each
-/// tagged with its query id `1..=N` on the exchange (and the trace sink
-/// when the `trace` feature is on); the id is reset to 0 afterwards.
+/// tagged with its query id `1..=N` on the exchange and the trace sink;
+/// the id is reset to 0 afterwards.
 /// Execution is deterministic, so every instance must reproduce the
 /// template's result checksum and solo response — asserted here.
 pub fn serve(machine: &mut Machine, spec: &JoinSpec, cfg: &ServeConfig) -> ServeResult {
@@ -121,7 +120,6 @@ fn serve_inner(
     let mut plan: Option<QueryPlan> = None;
     for qid in 1..=cfg.queries {
         machine.exchange.set_query(qid);
-        #[cfg(feature = "trace")]
         gamma_trace::set_query(qid);
         let (report, phases) = run_join_with_phases(machine, spec);
         if plan.is_none() {
@@ -132,7 +130,6 @@ fn serve_inner(
         reports.push(report);
     }
     machine.exchange.set_query(0);
-    #[cfg(feature = "trace")]
     gamma_trace::set_query(0);
 
     let plan = plan.expect("at least one instance ran");

@@ -1,6 +1,7 @@
 //! # gamma-trace — deterministic structured event tracing
 //!
-//! A zero-cost-when-disabled event recorder for the Gamma simulator.
+//! A runtime-installed event recorder for the Gamma simulator; with no
+//! sink installed every hook is one thread-local load and a branch.
 //! Operators, the interconnect fabric, the buffer pool, and the DES
 //! kernel emit typed [`EventKind`]s into a thread-local [`TraceSink`].
 //! Because the simulator itself is single-threaded and deterministic,

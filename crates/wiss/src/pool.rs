@@ -86,13 +86,11 @@ impl BufferPool {
             // Evict the least recently used frame.
             if let Some((&victim, _)) = self.frames.iter().min_by_key(|(_, &s)| s) {
                 self.frames.remove(&victim);
-                #[cfg(feature = "metrics")]
                 gamma_metrics::counter_add("pool_evictions", self.node, "pool", 1);
             }
         }
         self.frames.insert(key, stamp);
         self.peak = self.peak.max(self.frames.len());
-        #[cfg(feature = "metrics")]
         gamma_metrics::gauge_max(
             "pool_peak_pages",
             self.node,
@@ -106,13 +104,11 @@ impl BufferPool {
         let key = (file, page);
         if self.frames.contains_key(&key) {
             self.hits += 1;
-            #[cfg(feature = "metrics")]
             gamma_metrics::counter_add("pool_hits", self.node, "pool", 1);
             self.touch(key);
             return true;
         }
         self.misses += 1;
-        #[cfg(feature = "metrics")]
         gamma_metrics::counter_add("pool_misses", self.node, "pool", 1);
         let seq = self.head.access(file, page);
         let us = if seq {
@@ -122,9 +118,7 @@ impl BufferPool {
         };
         usage.disk(SimTime::from_us(us));
         usage.counts.pages_read += 1;
-        #[cfg(feature = "metrics")]
         gamma_metrics::counter_add("pages_read", self.node, "pool", 1);
-        #[cfg(feature = "trace")]
         gamma_trace::emit(
             self.node,
             usage.total_demand().as_us(),
@@ -147,9 +141,7 @@ impl BufferPool {
         };
         usage.disk(SimTime::from_us(us));
         usage.counts.pages_written += 1;
-        #[cfg(feature = "metrics")]
         gamma_metrics::counter_add("pages_written", self.node, "pool", 1);
-        #[cfg(feature = "trace")]
         gamma_trace::emit(
             self.node,
             usage.total_demand().as_us(),

@@ -6,12 +6,15 @@
 use std::sync::Arc;
 
 use gamma_bench::{pooled_map_on, SweepBuilder, Workload};
-use gamma_core::exec::pool::threads_spawned;
+use gamma_core::exec::pool::{env_pool, threads_spawned};
 use gamma_core::query::Algorithm;
 use gamma_core::{ExecConfig, WorkerPool};
 
 #[test]
 fn no_thread_is_spawned_after_the_run_starts() {
+    // Every `Machine::new` defaults to the shared `GAMMA_POOL` pool; build
+    // it up front so its workers are not counted as mid-run spawns.
+    env_pool();
     let before = threads_spawned();
     let pool = Arc::new(WorkerPool::new(4));
     let after_build = threads_spawned();

@@ -674,87 +674,3 @@ fn hash_mod_alignment() {
         assert_eq!((h % (k * d)) % d, h % d, "case {case}");
     }
 }
-
-/// Random select→join→aggregate plans agree with a direct model
-/// computation over the raw keys.
-#[test]
-fn plans_match_model() {
-    use gamma_core::operators::AggFn;
-    use gamma_core::planner::{execute, Plan, PlanConfig};
-
-    for case in 0..16u64 {
-        let mut rng = case_rng("plans_match_model", case);
-        let inner = {
-            let mut v = vec_u32(&mut rng, 149, 64);
-            v.push(rng.gen_range(0u32..64)); // 1..150 non-empty
-            v
-        };
-        let outer = {
-            let mut v = vec_u32(&mut rng, 299, 64);
-            v.push(rng.gen_range(0u32..64));
-            v
-        };
-        let sel_hi = rng.gen_range(0u32..64);
-        let mem_div = rng.gen_range(1u64..8);
-        let algorithm = Algorithm::ALL[rng.gen_range(0usize..4)];
-
-        let mut machine = Machine::new(MachineConfig::local_8());
-        let schema = pad_schema();
-        let attr = schema.int_attr("k");
-        let r = machine.load_relation(
-            "r",
-            schema.clone(),
-            Declustering::Hashed { attr },
-            inner.iter().map(|&k| mk_tuple(k)).collect::<Vec<_>>(),
-        );
-        let s = machine.load_relation(
-            "s",
-            schema.clone(),
-            Declustering::Hashed { attr },
-            outer.iter().map(|&k| mk_tuple(k)).collect::<Vec<_>>(),
-        );
-        let plan = Plan::Aggregate {
-            input: Box::new(Plan::Join {
-                inner: Box::new(Plan::Select {
-                    input: Box::new(Plan::Scan(r)),
-                    attr: "k".into(),
-                    lo: 0,
-                    hi: sel_hi,
-                }),
-                outer: Box::new(Plan::Scan(s)),
-                inner_attr: "k".into(),
-                outer_attr: "k".into(),
-                algorithm: Some(algorithm),
-            }),
-            // After a possible inner/outer swap the join schema prefixes
-            // may flip, so group on whichever k survives; both sides carry
-            // the same key value on a match, so l.k == r.k.
-            group_by: "l.k".into(),
-            attr: "l.k".into(),
-            f: AggFn::Count,
-        };
-        let cfg = PlanConfig {
-            memory_bytes: (machine.relation(r).data_bytes / mem_div).max(1),
-            site: gamma_core::JoinSite::Local,
-            bit_filter: true,
-        };
-        let report = execute(&mut machine, &plan, &cfg);
-
-        // Model: count matches per key after the selection.
-        let mut model: std::collections::BTreeMap<u32, u64> = Default::default();
-        for &sk in &outer {
-            let matches = inner.iter().filter(|&&rk| rk == sk && rk <= sel_hi).count() as u64;
-            if matches > 0 {
-                *model.entry(sk).or_default() += matches;
-            }
-        }
-        let want_groups = model.len() as u64;
-        let want_total: u64 = model.values().sum();
-        assert_eq!(report.tuples, want_groups, "case {case}: group count");
-        assert_eq!(
-            report.stages[1].tuples, want_total,
-            "case {case}: join cardinality"
-        );
-        machine.drop_relation(report.output);
-    }
-}
